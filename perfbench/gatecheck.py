@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
 """Gate-power self-check: does the benchmark catch a ~10% slower simulator?
 
-    python3 perfbench/gatecheck.py --groups 10
+    python3 perfbench/gatecheck.py [--workloads paper-cold ...] [--block N]
 
-Side A is the program as it is.  Side B is the same program with every
-``SnitchCluster.run`` call stretched by ``--slowdown`` (10%) of its own
-duration, by a wrapper that lives only in ``perfbench/tracer.py`` and
-reaches the program's processes through the start-up hook.
+Side B is the program with every ``SnitchCluster.run`` call stretched by
+:data:`SLOWDOWN` (10%) of its own duration, by a wrapper that lives only in
+``perfbench/tracer.py`` and reaches the program's processes through the
+start-up hook.  Sides A and A2 run with the same hook and a slowdown of 0,
+which imports the wrapper module but installs nothing, so B - A is the
+injected delay alone.
+
+Each side is compared on the metric the simulator's time reaches most
+directly: for the CLI workloads the sweep wall the CLI reports (the
+``sweep_p50_s`` samples, which leave out interpreter start and native
+compile), for the service workloads the wall of one 4-job sweep.
 
 Sides are interleaved finely, because this shared host drifts by 10-20%
 within a minute.  A group runs ``--block`` operations on each of three
 sides in rotation: A, B and A2, a second sample of the unchanged program
-(CLI calls for the paper workloads; 4-job sweeps for the service
-workloads, where each side has a live session of its own).  Each
-comparison uses medians within one group, so drift between groups
-cancels.  A2 against A
-is the parent's own run-to-run spread under the same pairing: the noise
-floor is the quartile distance, over groups, of A2 / A - 1.
+(CLI calls for the CLI workloads; sweeps for the service workloads, where
+each side has a live session of its own).  Each comparison uses medians
+within one group, so drift between groups cancels.  A2 against A is the
+parent's own run-to-run spread under the same pairing: the noise floor is
+the quartile distance, over groups, of A2 / A - 1.
 
 B is flagged slower when it is worse in at least nine tenths of the groups
 (ties count for neither side) and its median slowdown over the groups
-exceeds that noise floor.  The check passes when the slowdown is flagged
-on paper-cold and the service workloads and not on paper-warm, which
-simulates nothing.
+exceeds that noise floor.  The check passes when each workload gets the
+verdict :data:`EXPECTED` gives it.
 """
 
 from __future__ import annotations
@@ -38,14 +43,22 @@ from typing import Callable, Dict, List
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import harness  # noqa: E402
-from harness import Procs, Workspace, median, nproc  # noqa: E402
+from harness import Procs, Workspace, median  # noqa: E402
 
 SIDES = ("A", "B", "A2")
 #: Side orders, cycled so that each side takes every position equally.
 ROTATIONS = (SIDES, SIDES[1:] + SIDES[:1], SIDES[2:] + SIDES[:2])
 
-#: workload -> whether the slowdown must be flagged there
-EXPECTED = {"paper-cold": True, "paper-warm": False,
+#: Injected share of every SnitchCluster.run call's own duration.
+SLOWDOWN = 0.10
+#: Groups per workload; the verdict needs B worse in nine tenths of them.
+GROUPS = 10
+#: Workload seed of the service traffic.
+SEED = 0
+
+#: workload -> whether the slowdown must be flagged there.  paper-warm
+#: simulates nothing, so it must not be.
+EXPECTED = {"paper-cold": True, "paper-warm": False, "snitch16-table1": True,
             "service-local": True, "service-fabric": True}
 
 
@@ -64,36 +77,43 @@ def verdict(groups: List[tuple]) -> Dict[str, object]:
             "slower": b_worse >= 0.9 * len(groups) and slowdown > q3 - q1}
 
 
-def cli_sampler(ctx, workload: str, slowdown: Dict[str, str]
+def cli_sampler(ctx, workload: str, envs: Dict[str, Dict[str, str]]
                 ) -> Callable[[str], float]:
-    from workloads import PAPER_ARGS, PAPER_CORES, check_report, reproduce
+    from workloads import (PAPER_ARGS, PAPER_CORES, SNITCH16_ARGS,
+                           check_report, probe, reproduce)
 
-    warm = {side: ctx.ws.fresh("warm") for side in SIDES
-            if workload == "paper-warm"}
-    for side, cache in warm.items():
-        reproduce(ctx, cache, PAPER_ARGS)
+    args, machine, cores = PAPER_ARGS, "snitch-8", PAPER_CORES
+    caches: Dict[str, Path] = {}
+    if workload == "paper-warm":
+        caches = {side: ctx.ws.fresh("warm") for side in SIDES}
+        for side, cache in caches.items():
+            reproduce(ctx, cache, args, envs[side])
+    elif workload == "snitch16-table1":
+        args, machine, cores = SNITCH16_ARGS + ["--no-cache"], "snitch-16", 16
+        built = ctx.ws.fresh("probe")
+        probe(ctx, built)
+        caches = {side: built for side in SIDES}
 
     def sample(side: str) -> float:
-        cache = warm.get(side) or ctx.ws.fresh("cold")
-        wall, report = reproduce(ctx, cache, PAPER_ARGS,
-                                 slowdown if side == "B" else None)
-        check_report(ctx, report, "snitch-8", PAPER_CORES)
-        return wall
+        cache = caches.get(side) or ctx.ws.fresh("cold")
+        _, report = reproduce(ctx, cache, args, envs[side])
+        check_report(ctx, report, machine, cores)
+        return report["sweep"]["wall_seconds"] if report else float("inf")
     return sample
 
 
-def service_sampler(ctx, fabric: bool, slowdown: Dict[str, str]
+def service_sampler(ctx, fabric: bool, envs: Dict[str, Dict[str, str]]
                     ) -> Callable[[str], float]:
     """One live session per side, so that A2 against A also measures how
     much two sessions of the same program differ."""
-    from workloads import _boot, _check_sweep, _Seeds
+    from workloads import _boot, _check_sweep, _Seeds, _think
 
     seeds = _Seeds(ctx.seed)
-    sessions = {side: _boot(ctx, seeds, fabric,
-                            slowdown if side == "B" else None)[0]
+    sessions = {side: _boot(ctx, seeds, fabric, envs[side])[0]
                 for side in SIDES}
 
     def sample(side: str) -> float:
+        _think(sessions[side])
         wall, final = sessions[side].sweep(
             harness.service_jobs(seeds.take()))
         _check_sweep(ctx, final)
@@ -103,13 +123,11 @@ def service_sampler(ctx, fabric: bool, slowdown: Dict[str, str]
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", nargs="+", default=list(EXPECTED))
-    parser.add_argument("--groups", type=int, default=10)
+    parser.add_argument("--workloads", nargs="+", default=list(EXPECTED),
+                        choices=list(EXPECTED))
     parser.add_argument("--block", type=int, default=None,
                         help="operations per side and group (default: 10 "
                              "CLI calls, 120 sweeps)")
-    parser.add_argument("--slowdown", type=float, default=0.10)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if not harness.program_present():
         print("gatecheck: the program's sources are missing",
@@ -122,37 +140,37 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(harness.SRC))
     from workloads import Context, Tally
 
-    slowdown = {"PERFBENCH_SLOWDOWN": str(args.slowdown)}
+    envs = {side: {"PERFBENCH_SLOWDOWN": str(SLOWDOWN if side == "B" else 0)}
+            for side in SIDES}
     tally = Tally()
     ok = True
     try:
         for workload in args.workloads:
-            ctx = Context(workload, args.seed, 0.0, False, ws, procs, tally,
-                          lanes=nproc())
+            ctx = Context(workload, SEED, 0.0, False, ws, procs, tally)
             service = workload.startswith("service")
             if service:
                 sample = service_sampler(ctx, workload == "service-fabric",
-                                         slowdown)
+                                         envs)
             else:
-                sample = cli_sampler(ctx, workload, slowdown)
+                sample = cli_sampler(ctx, workload, envs)
             block = args.block or (120 if service else 10)
             groups = []
             start = time.perf_counter()
-            for _ in range(args.groups):
-                samples: Dict[str, List[float]] = {"A": [], "B": [], "A2": []}
+            for _ in range(GROUPS):
+                samples: Dict[str, List[float]] = {side: [] for side in SIDES}
                 for i in range(block):
                     for side in ROTATIONS[i % len(ROTATIONS)]:
                         samples[side].append(sample(side))
-                groups.append((samples["A"], samples["B"], samples["A2"]))
+                groups.append(tuple(samples[side] for side in SIDES))
             procs.stop_all()
             result = verdict(groups)
-            expected = EXPECTED.get(workload)
-            good = expected is None or result["slower"] == expected
+            expected = EXPECTED[workload]
+            good = result["slower"] == expected
             ok &= good
             print(f"{workload:15s} A {result['median_a']:.4f}s "
                   f"B {result['median_b']:.4f}s "
                   f"delta {result['delta']:+.2%} "
-                  f"B worse in {result['b_worse']}/{args.groups} groups "
+                  f"B worse in {result['b_worse']}/{GROUPS} groups "
                   f"(better in {result['b_better']}) "
                   f"A2/A floor {result['floor']:.2%} -> "
                   f"{'SLOWER' if result['slower'] else 'no change'}"

@@ -32,11 +32,6 @@ OUT_DIR = BENCH_DIR / "_out"
 SERVICE_KERNELS = ("jacobi_2d", "star3d2r")
 VARIANTS = ("base", "saris")
 
-#: Idle poll of `repro worker`.  The shipped 0.5 s default would be most of
-#: every sweep's time in a closed loop (p50 ~0.48 s against ~0.08 s), which
-#: hides the lease/HTTP/upload cost this workload exists to measure.
-FABRIC_POLL_S = 0.05
-
 CALL_TIMEOUT_S = 120.0
 BOOT_TIMEOUT_S = 60.0
 
@@ -137,10 +132,7 @@ class Procs:
                     continue
         proc.wait()
         # Pool children the process forked may outlive their leader.
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
+        _killpg(proc.pid)
         if proc in self.live:
             self.live.remove(proc)
 
@@ -151,33 +143,48 @@ class Procs:
 
 def cli(args: List[str], env: Dict[str, str], timeout: float = CALL_TIMEOUT_S
         ) -> "tuple[float, subprocess.CompletedProcess]":
-    """One ``repro`` CLI call, timed from before interpreter start."""
+    """One ``repro`` CLI call, timed from before interpreter start.  A call
+    that outlives ``timeout`` is killed and returns code -9 with a note on
+    stderr, so the caller counts it as a failed operation."""
     argv = [sys.executable, "-m", "repro.cli", *args]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, cwd=ROOT, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, stdin=subprocess.DEVNULL,
                             start_new_session=True)
+    note = b""
     try:
         out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        _killpg(proc.pid)
+        out, err = proc.communicate()
+        note = f"\nperfbench: killed after {timeout:.0f} s".encode()
     except BaseException:
-        os.killpg(proc.pid, signal.SIGKILL)
+        _killpg(proc.pid)
         proc.communicate()
         raise
     wall = time.perf_counter() - start
-    try:  # reap anything the call forked and left behind
-        os.killpg(proc.pid, signal.SIGKILL)
+    _killpg(proc.pid)  # reap anything the call forked and left behind
+    return wall, subprocess.CompletedProcess(
+        argv, proc.returncode, out.decode(errors="replace"),
+        (err + note).decode(errors="replace"))
+
+
+def _killpg(pid: int) -> None:
+    try:
+        os.killpg(pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
-    return wall, subprocess.CompletedProcess(argv, proc.returncode,
-                                             out.decode(errors="replace"),
-                                             err.decode(errors="replace"))
 
 
 def python_snippet(code: str, env: Dict[str, str],
                    timeout: float = CALL_TIMEOUT_S) -> dict:
     """Run ``code`` in a fresh interpreter; it prints one JSON object."""
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=timeout)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              cwd=ROOT, capture_output=True, text=True,
+                              stdin=subprocess.DEVNULL, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise BenchError(f"probe killed after {timeout:.0f} s") from None
     if proc.returncode != 0:
         raise BenchError(f"probe failed: {proc.stderr.strip()[-400:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -278,7 +285,7 @@ class ServiceSession:
                     f"worker{lane}-{self.cache.name}",
                     [sys.executable, "-m", "repro.cli", "worker", "--url",
                      self.url, "--id", f"w{lane}", "--cache-dir",
-                     str(self.cache), "--poll", str(FABRIC_POLL_S)], self.env))
+                     str(self.cache)], self.env))
         self.client = ServiceClient(self.url, timeout=CALL_TIMEOUT_S)
         final = self.sweep(warmup_jobs)[1]
         if any(job["state"] != "done" for job in final["jobs"]):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The repository's benchmark: one command, five workloads, checked outputs.
 
-    python3 perfbench/run.py --workload paper-cold --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload paper-cold --seed 1 --seconds 18 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.
 ``--trace 1`` is the separate traced run: the program's processes get the
@@ -25,6 +25,7 @@ import os
 import platform
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Dict
 
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not harness.program_present():
@@ -124,44 +125,48 @@ def main(argv=None) -> int:
               f"missing; run from a full checkout", file=sys.stderr)
         return 2
 
-    harness.handle_signals()
-    ws = Workspace(args.workload)
-    procs = Procs(ws.root / "logs")
-    # The benchmark's own in-process checks use the run's private caches.
-    os.environ["REPRO_CACHE_DIR"] = str(ws.fresh("bench-cache"))
-    os.environ["TMPDIR"] = str(ws.tmp)
     sys.path.insert(0, str(harness.SRC))
     import tracer
-
-    if args.trace:
-        recorder = tracer.install(str(ws.fresh("client-trace")),
-                                  args.workload,
-                                  modules=("repro.service.client",))
-        recorder.enabled = False
     from repro.service.client import ServiceError
-    from workloads import (WORKLOADS, Context, Measured, Tally,
-                           planned_operations)
+    from workloads import (SERVICE_LANES, WORKLOADS, Context, Measured,
+                           Tally, planned_operations)
 
     if args.workload not in WORKLOADS:
         print(f"perfbench: unknown workload {args.workload!r}; choose from "
               f"{', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
+    harness.handle_signals()
+    ws = Workspace(args.workload)
+    procs = Procs(ws.root / "logs")
     tally = Tally()
     ctx = Context(args.workload, args.seed, args.seconds, bool(args.trace),
-                  ws, procs, tally, lanes=harness.nproc())
+                  ws, procs, tally)
     env_record: Dict[str, object] = {
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
         "nproc": harness.nproc(), "python": platform.python_version(),
-        "lanes": ctx.lanes}
+        "lanes": SERVICE_LANES}
     start = time.perf_counter()
     try:
+        # The benchmark's own in-process checks use the run's private caches.
+        os.environ["REPRO_CACHE_DIR"] = str(ws.fresh("bench-cache"))
+        os.environ["TMPDIR"] = str(ws.tmp)
+        if args.trace:
+            recorder = tracer.install(str(ws.fresh("client-trace")),
+                                      args.workload,
+                                      modules=("repro.service.client",))
+            recorder.enabled = False
         try:
             m = WORKLOADS[args.workload](ctx)
         except (BenchError, ServiceError) as exc:
             # No daemon or no engine: count every planned operation as
             # failed and still print a result line.
             tally.fail(planned_operations(ctx), str(exc))
+            m = Measured()
+        except Exception as exc:  # noqa: BLE001 - a result line all the same
+            traceback.print_exc()
+            tally.fail(planned_operations(ctx),
+                       f"benchmark error: {type(exc).__name__}: {exc}")
             m = Measured()
         env_record["native"] = m.native
         if m.native and not m.native.get("available"):
@@ -198,6 +203,7 @@ def main(argv=None) -> int:
     env_record["samples"] = {
         "setup_s": [round(v, 4) for v in m.setup],
         "wall_s": [round(v, 4) for v in m.cli_walls],
+        "sweep_s": [round(v, 4) for v in m.sweep_walls],
         "traced_wall_s": [round(v, 4) for v in m.traced_walls]}
     env_record["invalid"] = tally.invalid
     env_record["problems"] = tally.problems

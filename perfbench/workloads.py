@@ -3,9 +3,11 @@
 CLI workloads time one ``repro reproduce`` call per operation, from before
 interpreter start.  Service workloads are a closed loop with one client:
 it submits a 4-job sweep through ``ServiceClient``, waits for it, and only
-then submits the next; a few ``repro submit --watch`` CLI calls are spread
-over the phase.  Local and fabric dispatch both run ``nproc`` simulation
-lanes, so they compare at equal parallelism.
+then submits the next (on the fabric after a think time, see
+:data:`FABRIC_THINK_S`); a few ``repro submit --watch`` CLI calls are
+spread over the phase.  Local and fabric dispatch both run
+:data:`SERVICE_LANES` simulation lanes, so they compare at equal
+parallelism.
 """
 
 from __future__ import annotations
@@ -29,11 +31,26 @@ SETUP_REPS = 3
 #: Fewest measured CLI calls of a CLI workload (per side in a traced run).
 MIN_CALLS = 3
 #: `repro submit --watch` calls per service run; wall_s is their median.
-SERVICE_CLI_CALLS = 9
+SERVICE_CLI_CALLS = 6
 #: Service jobs whose metrics_hash is re-derived in-process.
 HASH_SAMPLES = 8
 #: Cores of the paper machine (snitch-8), which the service jobs also use.
 PAPER_CORES = 8
+#: Simulation lanes of both service workloads: ``repro serve --workers``,
+#: or the number of ``repro worker`` processes.  One, because with two
+#: fabric workers at the shipped 0.5 s idle poll the worker that wakes first
+#: is a matter of their relative phase, which is set by chance at boot and
+#: drifts: sweep p50 came out near 0.43 s in some runs and near 0.21 s in
+#: others at one think time.  One worker makes the wait a function of the
+#: think time alone.
+SERVICE_LANES = 1
+#: Idle poll of `repro worker` at its shipped default (``--poll``).
+WORKER_POLL_S = 0.5
+#: Pause of the fabric client between a sweep's end and its next submit.
+#: When a sweep ends the worker finds the queue empty and sleeps one idle
+#: poll, so a submit after this pause waits out the rest of that poll: half
+#: of it, the mean wait of a submit that arrives at a random moment.
+FABRIC_THINK_S = WORKER_POLL_S / 2
 
 
 class Tally:
@@ -90,7 +107,6 @@ class Context:
     ws: Workspace
     procs: Procs
     tally: Tally
-    lanes: int
 
 
 def peak_rss_mb() -> float:
@@ -337,7 +353,8 @@ class _Seeds:
     """Job seeds derived from the workload seed, unique within a run."""
 
     def __init__(self, seed: int) -> None:
-        self.next = seed * 1_000_000
+        # Input seeds must be non-negative; any workload seed maps to one.
+        self.next = (seed % 2**32) * 1_000_000
 
     def take(self) -> int:
         self.next += 1
@@ -364,7 +381,8 @@ def _check_sweep(ctx: Context, final: dict) -> int:
 def _boot(ctx: Context, seeds: _Seeds, fabric: bool,
           extra_env: Optional[Dict[str, str]] = None
           ) -> "tuple[ServiceSession, float]":
-    session = ServiceSession(ctx.procs, ctx.ws, fabric, ctx.lanes, extra_env)
+    session = ServiceSession(ctx.procs, ctx.ws, fabric, SERVICE_LANES,
+                             extra_env)
     try:
         return session, session.boot(service_jobs(seeds.take()))
     except BaseException:
@@ -384,6 +402,12 @@ def _submit_cli(ctx: Context, session: ServiceSession, seed: int) -> float:
     return wall
 
 
+def _think(session: ServiceSession) -> None:
+    """Local dispatch has no idle poll, so its client submits at once."""
+    if session.fabric:
+        time.sleep(FABRIC_THINK_S)
+
+
 def _service_phase(ctx: Context, m: Measured, session: ServiceSession,
                    seeds: _Seeds, seconds: float, cli_calls: int,
                    samples: List[tuple], traced: bool = False) -> None:
@@ -393,10 +417,12 @@ def _service_phase(ctx: Context, m: Measured, session: ServiceSession,
         done_cli = len(m.cli_walls)
         if done_cli < cli_calls and elapsed >= (done_cli + 1) * seconds / (
                 cli_calls + 1):
+            _think(session)
             m.cli_walls.append(_submit_cli(ctx, session, seeds.take()))
             continue
         if elapsed >= seconds:
             break
+        _think(session)
         jobs = service_jobs(seeds.take())
         wall, final = session.sweep(jobs)
         cycles = _check_sweep(ctx, final)
